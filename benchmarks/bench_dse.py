@@ -14,11 +14,19 @@ only fires when the benchmark actually timed (``--benchmark-disable``
 CI runs still execute everything once for the correctness checks — see
 ``benchmarks/common.py`` on why CI never compares timings).  Medians
 land in ``BENCH_engine.json`` under the ``PR4-dse-campaign`` label.
+
+The ``dse.journal`` layer has its own case: checkpointing a
+2,000-record journal in 8-record batches, the way a campaign rewrites
+``journal.json`` after every batch.  Each record must be encoded once,
+not once per checkpoint; its before/after medians are the
+``dse-journal-memo`` entry of ``BENCH_engine.json``.
 """
 
+import json
 import time
 
-from repro.dse import Campaign, SearchSpace, parse_objectives
+from repro.dse import Campaign, SearchSpace, parse_objectives, write_journal
+from repro.dse.journal import new_journal
 from repro.scenarios import default_spec
 from repro.scenarios.run import run_scenarios
 
@@ -29,6 +37,10 @@ MAX_OVERHEAD = 0.05
 
 SPACE = SearchSpace.from_axes({"bins": [1, 2, 4, 8],
                                "variant": ["lrsc", "colibri"]})
+
+#: Journal checkpoint case: records in the journal, records per batch.
+JOURNAL_RECORDS = 2000
+JOURNAL_BATCH = 8
 
 
 def _base():
@@ -96,3 +108,43 @@ def test_halving_campaign_executes(benchmark):
         report(benchmark, "halving campaign over "
                           f"{SPACE.grid_size()} points",
                paid=result.paid, evaluations=len(result.evaluations))
+
+
+def _journal_records(count: int):
+    """A campaign header and ``count`` distinct evaluation records
+    shaped like the ones a 16-core histogram campaign journals."""
+    result = Campaign(base=_base(),
+                      space=SearchSpace.from_axes({"bins": [1]}),
+                      sampler="grid",
+                      objectives=parse_objectives(["min:cycles"]),
+                      budget=1).run()
+    template = result.journal["evaluations"][0]
+    return result.journal["campaign"], [
+        dict(template, index=index, batch=index // JOURNAL_BATCH)
+        for index in range(count)]
+
+
+def test_journal_checkpoints_2000_records(benchmark, tmp_path):
+    """``dse.journal``: 250 checkpoints of a journal growing to 2,000
+    records, written after every 8-record batch."""
+    header, records = _journal_records(JOURNAL_RECORDS)
+    path = str(tmp_path / "journal.json")
+
+    def checkpoint_all():
+        document = new_journal(header)
+        for start in range(0, len(records), JOURNAL_BATCH):
+            document["evaluations"].extend(
+                records[start:start + JOURNAL_BATCH])
+            write_journal(path, document)
+        return document
+
+    document = benchmark.pedantic(checkpoint_all, rounds=5, iterations=1)
+    with open(path, "rb") as stream:
+        assert stream.read() == (json.dumps(
+            document, indent=2, sort_keys=True) + "\n").encode("ascii")
+    if benchmark.enabled:
+        report(benchmark, f"{JOURNAL_RECORDS}-record journal in "
+                          f"{JOURNAL_BATCH}-record batches: median "
+                          f"{benchmark.stats.stats.median:.3f}s",
+               records=JOURNAL_RECORDS,
+               writes=JOURNAL_RECORDS // JOURNAL_BATCH)

@@ -164,8 +164,9 @@ class Campaign:
     ``sampler`` is a registered name (options via ``sampler_options``)
     or a ready :class:`~repro.dse.samplers.Sampler` instance.  When
     ``journal_file`` is set the journal is rewritten atomically after
-    every batch; ``resume`` (a loaded journal dict) replays its records
-    before anything simulates.  ``cache``/``jobs``/``batch`` flow to
+    every batch — each batch encodes only its new records, and the file
+    format is unchanged; ``resume`` (a loaded journal dict) replays its
+    records before anything simulates.  ``cache``/``jobs``/``batch`` flow to
     :func:`run_scenarios` unchanged — except for telemetry objectives,
     which force probed, serial, cache-less evaluation (probed machines
     cannot be pooled, so ``batch`` never applies to them).
@@ -492,7 +493,11 @@ class Campaign:
 
     def _write(self, journal: dict, evaluations: list, paid: int,
                status: str) -> None:
-        journal["evaluations"] = [e.to_record() for e in evaluations]
+        # Append-only: records already in the document were built from
+        # evaluations that never change again, so only the new ones are
+        # built (and, in write_journal, encoded).
+        records = journal["evaluations"]
+        records.extend(e.to_record() for e in evaluations[len(records):])
         journal["paid"] = paid
         journal["status"] = status
         if self.journal_file is not None \
@@ -512,6 +517,8 @@ class Campaign:
         journal["best"] = best.index if best is not None else None
         journal["frontier"] = [e.index for e in result.frontier()]
         self._write(journal, evaluations, paid, status)
+        # The campaign is over: drop the encoded-record memo with it.
+        journal["evaluations"] = list(journal["evaluations"])
         if OBS.events is not None:
             OBS.events.emit("campaign_finished", status=status,
                             points=len(evaluations), paid=paid)

@@ -8,6 +8,15 @@ after every batch, so a killed campaign loses at most the batch in
 flight; ``repro explore --resume DIR`` replays the records instead of
 re-simulating them (see :mod:`repro.dse.campaign`).
 
+A checkpoint encodes only the records that are new since the previous
+one: a live document's ``evaluations`` is a :class:`JournalRecords`
+list that remembers its records' encoded text, and
+:func:`write_journal` assembles the file around that text.  The file
+format is unchanged — every write is byte-identical to
+``json.dumps(document, indent=2, sort_keys=True) + "\n"``.  Encoding
+work thus grows linearly with campaign size instead of quadratically;
+each checkpoint still writes the whole file.
+
 Layout is validated by :mod:`repro.dse.schema`; ``repro frontier``
 renders rankings and Pareto frontiers from the journal alone.
 """
@@ -38,6 +47,80 @@ def journal_path(directory: str) -> str:
     return os.path.join(directory, JOURNAL_NAME)
 
 
+def _encode(value, depth: int = 1) -> bytes:
+    """``value`` as the journal file holds it, ``depth`` levels deep.
+
+    ``ensure_ascii`` (json's default) makes the text pure ASCII, and
+    re-indenting by newline replacement is exact because JSON text
+    holds no raw newline outside its structure (strings escape them).
+    """
+    text = json.dumps(value, indent=2, sort_keys=True)
+    return text.replace("\n", "\n" + "  " * depth).encode("ascii")
+
+
+def _encode_record(record: dict) -> bytes:
+    """One evaluation record, two levels deep (inside ``evaluations``)."""
+    return _encode(record, depth=2)
+
+
+class JournalRecords(list):
+    """The ``evaluations`` list of a live journal document.
+
+    A list of record dicts like any other — JSON, the schema and every
+    reader see nothing else — that also keeps the records' encoded
+    text, so :func:`write_journal` encodes a record once per campaign
+    rather than once per checkpoint.  The memo lives and dies with the
+    document that holds the list.
+
+    Invariant that makes the memo correct: a journaled record (and the
+    :class:`~repro.dse.campaign.Evaluation` it was built from) is never
+    mutated, reordered or removed after it is first written.  Append
+    new records; never edit old ones.
+    """
+
+    __slots__ = ("_encoded", "_count")
+
+    def __init__(self, records=()) -> None:
+        super().__init__(records)
+        #: The first ``_count`` records' file text, separators included;
+        #: a bytearray so appending stays amortized O(new records).
+        self._encoded = bytearray()
+        self._count = 0
+
+    def encoded(self) -> bytearray:
+        """All records' file text, encoding only the unseen ones."""
+        blob = self._encoded
+        for record in self[self._count:]:
+            if blob:
+                blob += b",\n    "
+            blob += _encode_record(record)
+        self._count = len(self)
+        return blob
+
+
+def _journal_chunks(document: dict) -> list:
+    """The journal file of ``document``, as byte chunks.
+
+    Together byte-identical to ``json.dumps(document, indent=2,
+    sort_keys=True) + "\n"``, built member by member: the header and
+    the mutable fields (``paid``, ``status``, ``best``, ``frontier``)
+    are encoded afresh, the evaluation records come from their
+    :class:`JournalRecords` memo when the document has one.
+    """
+    chunks = []
+    for key in sorted(document):
+        value = document[key]
+        chunks += [b",\n  " if chunks else b"{\n  ", _encode(key), b": "]
+        if key == "evaluations" and value:
+            if not isinstance(value, JournalRecords):
+                value = JournalRecords(value)
+            chunks += [b"[\n    ", value.encoded(), b"\n  ]"]
+        else:
+            chunks.append(_encode(value))
+    chunks.append(b"\n}\n" if chunks else b"{}\n")
+    return chunks
+
+
 def write_journal(path: str, document: dict) -> str:
     """Atomically write ``document``; returns the path.
 
@@ -47,10 +130,10 @@ def write_journal(path: str, document: dict) -> str:
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
+    chunks = _journal_chunks(document)
     tmp = path + ".tmp"
-    with open(tmp, "w") as stream:
-        json.dump(document, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    with open(tmp, "wb") as stream:
+        stream.writelines(chunks)
     os.replace(tmp, path)
     return path
 
@@ -96,7 +179,7 @@ def new_journal(campaign: dict) -> dict:
         "status": "partial",
         "paid": 0,
         "campaign": campaign,
-        "evaluations": [],
+        "evaluations": JournalRecords(),
         "best": None,
         "frontier": [],
     }

@@ -63,9 +63,10 @@ def pid_alive(pid: int) -> bool:
 class Heartbeat:
     """One process's heartbeat file, refreshed by a daemon thread.
 
-    ``start()`` spawns the timer thread; point boundaries additionally
-    beat inline via :meth:`point_started` / :meth:`point_finished` so a
-    busy worker's record also advances between timer ticks.  ``stop()``
+    ``start()`` sweeps dead writers' temp files from the directory and
+    spawns the timer thread; point boundaries additionally beat inline
+    via :meth:`point_started` / :meth:`point_finished` so a busy
+    worker's record also advances between timer ticks.  ``stop()``
     joins the thread and (by default) removes the file — a surviving
     file therefore means an unclean exit.
     """
@@ -87,12 +88,38 @@ class Heartbeat:
         self._thread = None
 
     def start(self) -> "Heartbeat":
+        self._sweep_dead_temps()
         self.beat()
         thread = threading.Thread(target=self._run, daemon=True,
                                   name=f"heartbeat-{self.pid}")
         self._thread = thread
         thread.start()
         return self
+
+    def _sweep_dead_temps(self) -> None:
+        """Remove ``hb-<pid>.json.tmp`` files of pids that are gone.
+
+        A SIGKILL between a beat's temp write and its rename leaves the
+        temp file behind.  The dead pid's ``hb-<pid>.json`` stays:
+        ``repro status`` reports it as the dead process.
+        """
+        directory = os.path.dirname(self.path)
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return
+        for name in names:
+            if not (name.startswith("hb-") and name.endswith(".json.tmp")):
+                continue
+            try:
+                pid = int(name[len("hb-"):-len(".json.tmp")])
+            except ValueError:
+                continue
+            if not pid_alive(pid):
+                try:
+                    os.remove(os.path.join(directory, name))
+                except OSError:
+                    pass  # another starter swept it first
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):

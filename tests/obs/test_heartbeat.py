@@ -79,6 +79,26 @@ def test_timer_thread_beats_on_its_own(tmp_path):
         monitor.stop()
 
 
+def test_start_sweeps_dead_temp_files_but_keeps_dead_records(tmp_path):
+    # A writer SIGKILLed between its temp write and its rename leaves
+    # both files; a new heartbeat in the directory removes only the
+    # temp file — the record is how `repro status` reports the death.
+    dead = 2 ** 22 + 12345  # above the kernel's pid_max: never alive
+    record = tmp_path / f"hb-{dead}.json"
+    record.write_text(json.dumps({"pid": dead, "beat_ts": 0.0}))
+    (tmp_path / f"hb-{dead}.json.tmp").write_text('{"pid": ')
+    live = tmp_path / f"hb-{os.getppid()}.json.tmp"
+    live.write_text('{"pid": ')
+    monitor = Heartbeat(str(tmp_path), interval=9.0).start()
+    try:
+        assert record.exists()
+        assert live.exists()  # a live writer's rename may be in flight
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [record.name, live.name, os.path.basename(monitor.path)])
+    finally:
+        monitor.stop()
+
+
 def test_read_heartbeats_skips_torn_and_foreign_files(tmp_path):
     monitor = Heartbeat(str(tmp_path), interval=9.0)
     monitor.beat()
