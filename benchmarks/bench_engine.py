@@ -12,6 +12,7 @@ machine-build path, never in the event loop).
 
 from repro import Machine, SystemConfig, VariantSpec
 from repro.engine.simulator import Simulator
+from repro.workloads.interference import measure_interference
 
 from common import NOISE_FACTOR, baseline_median
 
@@ -57,6 +58,24 @@ def test_end_to_end_histogram_sim(benchmark):
 
     ops = benchmark(run)
     assert ops == 16 * 8
+
+
+def test_interference_point(benchmark):
+    """One Fig. 5 point: 64 cores, 48 LR/SC pollers on 1 bin, 16 matmul
+    workers (dim 12), baseline and interfered run.
+
+    Watched mode with endless pollers: the run stops when the last
+    worker finishes, and every poller retry is a message through the
+    core, network and bank paths.
+    """
+
+    def run():
+        result, stats = measure_interference(
+            SystemConfig.scaled(64), VariantSpec.lrsc(), "lrsc",
+            num_workers=16, num_bins=1, matmul_dim=12)
+        return result.baseline_cycles, result.interfered_cycles, stats.cycles
+
+    assert benchmark(run) == (3296, 4131, 4131)
 
 
 def test_variant_registry_dispatch(benchmark):

@@ -18,12 +18,18 @@ response arrives.  Compute commands run at IPC 1.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..engine.errors import KernelError, ProtocolViolation
 from ..engine.simulator import Simulator
 from ..engine.stats import CoreStats
-from ..interconnect.messages import MemRequest, MemResponse, Op, Status, WAIT_OPS
+from ..interconnect.messages import (
+    MemRequest,
+    MemResponse,
+    Op,
+    Status,
+    next_req_id,
+)
 from ..interconnect.network import Network
 from ..arch.address_map import AddressMap
 from .api import Compute, MemCmd, Retire
@@ -32,6 +38,11 @@ from .qnode import Qnode
 #: FSM state labels.
 IDLE, ACTIVE, STALLED, SLEEPING, FINISHED = (
     "idle", "active", "stalled", "sleeping", "finished")
+
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_SC, _SCWAIT = Op.SC, Op.SCWAIT
+_OK, _QUEUE_FULL = Status.OK, Status.QUEUE_FULL
 
 
 class Core:
@@ -62,6 +73,10 @@ class Core:
         self._outstanding: Optional[MemRequest] = None
         self._wait_started = 0
         self.finish_cycle: Optional[int] = None
+        #: Called as ``on_finish(core)`` when the kernel returns; the
+        #: machine sets it while it watches this core (see
+        #: :meth:`~repro.machine.Machine.run_until_finished`).
+        self.on_finish: Optional[Callable[["Core"], None]] = None
         network.register_core(core_id, self.deliver_response)
         network.register_qnode(core_id, self.qnode.on_successor_update)
 
@@ -152,6 +167,8 @@ class Core:
     def _finish(self) -> None:
         self._set_state(FINISHED)
         self.finish_cycle = self.sim.now
+        if self.on_finish is not None:
+            self.on_finish(self)
 
     def _set_state(self, state: str) -> None:
         """State transition with tracing/telemetry hooks (VCD, timelines)."""
@@ -169,24 +186,29 @@ class Core:
 
     def _issue(self, cmd: MemCmd) -> None:
         """Spend the issue cycle, then inject the request."""
-        req = MemRequest(op=cmd.op, core_id=self.core_id, addr=cmd.addr,
-                         value=cmd.value, expected=cmd.expected,
-                         issued_at=self.sim.now)
-        self.stats.active_cycles += 1
-        self.stats.instructions += 1
-        self.stats.count_request(cmd.op.value)
+        op = cmd.op
+        sim = self.sim
+        # Positional, with the id drawn here: the dataclass's keyword
+        # and default-factory handling is measurable at this rate.
+        req = MemRequest(op, self.core_id, cmd.addr, cmd.value,
+                         cmd.expected, next_req_id(), sim.now)
+        stats = self.stats
+        stats.active_cycles += 1
+        stats.instructions += 1
+        stats.count_request(op.mnemonic)
         self._outstanding = req
-        self._set_state(SLEEPING if cmd.op in WAIT_OPS else STALLED)
+        self._set_state(SLEEPING if op.waits else STALLED)
         # The request leaves the core after the 1-cycle issue stage.
-        self.sim.schedule(1, self._send, arg=req)
+        sim.schedule(1, self._send, arg=req)
 
     def _send(self, req: MemRequest) -> None:
         self._wait_started = self.sim.now
         bank_id = self.address_map.bank_of(req.addr)
-        if req.op in WAIT_OPS:
+        op = req.op
+        if op.waits:
             if not self.qnode.try_issue_wait(req, bank_id):
                 return  # stalled inside the Qnode; released later
-        elif req.op is Op.SCWAIT:
+        elif op is _SCWAIT:
             # The SCwait passes the Qnode on its way out (Fig. 2 / 6).
             self.network.send_request(req, bank_id)
             self.qnode.on_scwait_pass()
@@ -221,10 +243,11 @@ class Core:
         self._advance(resp)
 
     def _account_status(self, resp: MemResponse) -> None:
-        if resp.op in (Op.SC, Op.SCWAIT):
-            if resp.status is Status.OK:
+        op = resp.op
+        if op is _SC or op is _SCWAIT:
+            if resp.status is _OK:
                 self.stats.sc_successes += 1
             else:
                 self.stats.sc_failures += 1
-        elif resp.op in WAIT_OPS and resp.status is Status.QUEUE_FULL:
+        elif op.waits and resp.status is _QUEUE_FULL:
             self.stats.wait_rejections += 1

@@ -16,10 +16,18 @@ component ever cancels (use :meth:`Simulator.schedule_event` when you
 need a cancellable handle).  The run loop drains the heap directly with
 :mod:`heapq`, writes the clock only when the cycle actually changes (a
 burst of same-cycle events costs one clock update, and the runaway /
-monotonicity guards run per cycle instead of per event), and hoists the
-``until`` predicate out of the loop entirely when none is installed.
-Together with the C-speed list-entry comparisons this roughly halves
-the per-event cost of the seed kernel (see ``BENCH_engine.json``).
+monotonicity guards run per cycle instead of per event).  Together with
+the C-speed list-entry comparisons this roughly halves the per-event
+cost of the seed kernel (see ``BENCH_engine.json``).
+
+Early stops are pushed, not polled: a component that knows the run is
+over calls :meth:`Simulator.stop` from inside its event handler (the
+machine does this when the last watched core finishes, see
+:meth:`~repro.machine.Machine.run_until_finished`), and the loop pays
+one attribute test per event to notice.  The ``until`` predicate of
+:meth:`Simulator.run` remains for external callers; it is evaluated
+after every event, so it runs in a second copy of the loop and costs
+nothing when absent.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ class Simulator:
     """Deterministic discrete-event simulator with an integer cycle clock."""
 
     __slots__ = ("now", "max_cycles", "tracer", "telemetry", "_queue",
-                 "_heap", "_counter", "_blocked_reporters", "_finished")
+                 "_heap", "_counter", "_blocked_reporters", "_finished",
+                 "_stopping")
 
     def __init__(self, max_cycles: int = 100_000_000,
                  tracer: Optional[Tracer] = None,
@@ -62,6 +71,8 @@ class Simulator:
         #: still blocked; consulted when the event queue drains.
         self._blocked_reporters: list = []
         self._finished = False
+        #: Set by :meth:`stop`; the run loop ends after the current event.
+        self._stopping = False
 
     # -- scheduling --------------------------------------------------------
 
@@ -107,10 +118,24 @@ class Simulator:
         ties between same-cycle entries relatively, so continuing the
         count cannot change any observable ordering.  Registered blocked
         reporters are kept; they belong to the machine, not to one run.
+        A pending :meth:`stop` is dropped with the events.
         """
         self.now = 0
         self._finished = False
+        self._stopping = False
         del self._heap[:]
+
+    def stop(self) -> None:
+        """End the current :meth:`run` right after the event being
+        dispatched.
+
+        Call it from inside an event handler.  The rest of the handler
+        still runs; every other queued event stays queued (those of the
+        same cycle included), exactly as when an ``until`` predicate
+        returns ``True`` after that event.  The run returns without the
+        deadlock check.
+        """
+        self._stopping = True
 
     # -- deadlock detection hooks -------------------------------------------
 
@@ -135,69 +160,78 @@ class Simulator:
             _heappop=heappop) -> int:
         """Drain events until done; return the final cycle.
 
-        ``until`` is an optional predicate evaluated after every event;
-        when it returns ``True`` the run stops early (used by
-        time-boxed workloads).  If the queue drains while registered
+        The run stops early when a handler calls :meth:`stop`, or when
+        the optional ``until`` predicate, evaluated after every event,
+        returns ``True``.  If the queue drains while registered
         reporters still list blocked agents, :class:`DeadlockError` is
         raised with the agent list — this is the §III progress-guarantee
-        failure mode made observable.
+        failure mode made observable.  A :meth:`stop` never outlives
+        the run it ended.
         """
         heap = self._heap
         max_cycles = self.max_cycles
         no_arg = NO_ARG
         now = self.now
-        if until is None:
-            while heap:
-                entry = _heappop(heap)
-                fn = entry[3]
-                if fn is None:          # cancelled, dropped lazily
-                    continue
-                cycle = entry[0]
-                if cycle != now:
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles} "
-                            f"(runaway simulation?)")
-                    if cycle < now:
-                        raise SimulationError(
-                            "event queue went backwards in time")
-                    now = self.now = cycle
-                arg = entry[4]
-                if arg is no_arg:
-                    fn()
-                else:
-                    fn(arg)
-        else:
-            while heap:
-                entry = _heappop(heap)
-                fn = entry[3]
-                if fn is None:
-                    continue
-                cycle = entry[0]
-                if cycle != now:
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles} "
-                            f"(runaway simulation?)")
-                    if cycle < now:
-                        raise SimulationError(
-                            "event queue went backwards in time")
-                    now = self.now = cycle
-                arg = entry[4]
-                if arg is no_arg:
-                    fn()
-                else:
-                    fn(arg)
-                if until():
-                    self._finished = True
-                    return now
-        blocked = self._blocked_agents()
-        if blocked:
-            raise DeadlockError(
-                "event queue drained with blocked agents: "
-                + "; ".join(blocked))
-        self._finished = True
-        return now
+        try:
+            if until is None:
+                while heap:
+                    entry = _heappop(heap)
+                    fn = entry[3]
+                    if fn is None:          # cancelled, dropped lazily
+                        continue
+                    cycle = entry[0]
+                    if cycle != now:
+                        if cycle > max_cycles:
+                            raise SimulationError(
+                                f"exceeded max_cycles={max_cycles} "
+                                f"(runaway simulation?)")
+                        if cycle < now:
+                            raise SimulationError(
+                                "event queue went backwards in time")
+                        now = self.now = cycle
+                    arg = entry[4]
+                    if arg is no_arg:
+                        fn()
+                    else:
+                        fn(arg)
+                    if self._stopping:
+                        self._finished = True
+                        return now
+            else:
+                while heap:
+                    entry = _heappop(heap)
+                    fn = entry[3]
+                    if fn is None:
+                        continue
+                    cycle = entry[0]
+                    if cycle != now:
+                        if cycle > max_cycles:
+                            raise SimulationError(
+                                f"exceeded max_cycles={max_cycles} "
+                                f"(runaway simulation?)")
+                        if cycle < now:
+                            raise SimulationError(
+                                "event queue went backwards in time")
+                        now = self.now = cycle
+                    arg = entry[4]
+                    if arg is no_arg:
+                        fn()
+                    else:
+                        fn(arg)
+                    if self._stopping or until():
+                        self._finished = True
+                        return now
+            blocked = self._blocked_agents()
+            if blocked:
+                raise DeadlockError(
+                    "event queue drained with blocked agents: "
+                    + "; ".join(blocked))
+            self._finished = True
+            return now
+        finally:
+            # However the run ends, raised errors included, its stop
+            # request must not carry over into the next run.
+            self._stopping = False
 
     def run_for(self, cycles: int, _heappop=heappop) -> int:
         """Run until the clock passes ``self.now + cycles`` or events drain.

@@ -57,6 +57,29 @@ AMO_OPS = frozenset({
 WAIT_OPS = frozenset({Op.LRWAIT, Op.MWAIT})
 
 
+def _annotate_ops() -> None:
+    """Give every :class:`Op` member plain per-message attributes.
+
+    ``Op.value`` is an Enum descriptor and set membership hashes
+    through the Python-level ``Enum.__hash__``; the message path reads
+    these instance attributes instead.  They are derived once, here,
+    from :data:`WAIT_OPS` and :data:`AMO_OPS`, which stay the single
+    source of truth.  Values, equality and hashing are untouched.
+    """
+    for op in Op:
+        #: The mnemonic (``op.value``), e.g. ``"lr"``.
+        op.mnemonic = op.value
+        #: Message kind of the response, e.g. ``"resp_lr"``.
+        op.resp_kind = "resp_" + op.value
+        #: ``op in WAIT_OPS``: the response may be withheld.
+        op.waits = op in WAIT_OPS
+        #: ``op in AMO_OPS``: serviced entirely by the adapter's ALU.
+        op.amo = op in AMO_OPS
+
+
+_annotate_ops()
+
+
 class Status(Enum):
     """Response status codes."""
 
@@ -70,7 +93,9 @@ class Status(Enum):
     QUEUE_FULL = "queue_full"
 
 
-_req_ids = itertools.count()
+#: Draws the next request id; a bound C method, so a draw runs no
+#: Python frame.  The core model calls it directly on its issue path.
+next_req_id = itertools.count().__next__
 
 
 @dataclass(slots=True)
@@ -86,7 +111,7 @@ class MemRequest:
     #: already differs when the Mwait is served, it completes at once.
     expected: Optional[int] = None
     #: Unique id for tracing and response matching.
-    req_id: int = field(default_factory=lambda: next(_req_ids))
+    req_id: int = field(default_factory=next_req_id)
     #: Cycle the core issued the request (filled by the core model).
     issued_at: int = 0
 

@@ -141,10 +141,11 @@ class Network:
         alike (see :meth:`~repro.arch.topology.Topology.route`).
         """
         cls, latency, hops = self.topology.route(req.core_id, bank_id)
-        self.stats.count_message(req.op.value, hops)
+        kind = req.op.mnemonic
+        self.stats.count_message(kind, hops)
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, req.op.value, cls, latency, hops)
+            cb(self.sim.now, kind, cls, latency, hops)
         delivery = self.sim.now + latency
         if cls != "local":
             delivery = self._ingress_slot(bank_id, delivery)
@@ -153,10 +154,11 @@ class Network:
     def send_response(self, resp: MemResponse, bank_id: int) -> None:
         """Bank → core: deliver a response after the route latency."""
         cls, latency, hops = self.topology.route(resp.core_id, bank_id)
-        self.stats.count_message("resp_" + resp.op.value, hops)
+        kind = resp.op.resp_kind
+        self.stats.count_message(kind, hops)
         cb = self._telemetry.on_message
         if cb is not None:
-            cb(self.sim.now, "resp_" + resp.op.value, cls, latency, hops)
+            cb(self.sim.now, kind, cls, latency, hops)
         self.sim.schedule(latency, self._core_handlers[resp.core_id],
                           arg=resp)
 

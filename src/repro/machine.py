@@ -224,13 +224,39 @@ class Machine:
 
         Used by the interference experiment (Fig. 5), where poller
         kernels loop endlessly and only the workers' completion matters.
+        Each distinct watched core counts down once, from its finish
+        hook; the last one stops the simulator right after that event,
+        so the loop tests nothing per event beyond the stop flag.
+
+        Raises :class:`ValueError` when ``core_ids`` is empty or names a
+        core without a kernel: such a run could only end at
+        ``max_cycles``.
         """
-        watched = [self.cores[i] for i in core_ids]
+        cores = list(dict.fromkeys(self.cores[i] for i in core_ids))
+        if not cores:
+            raise ValueError("run_until_finished needs at least one "
+                             "watched core")
+        loaded = set(self._loaded)
+        idle = [core.core_id for core in cores if core not in loaded]
+        if idle:
+            raise ValueError(f"watched core(s) {idle} have no kernel "
+                             f"loaded and would never finish")
+        remaining = len(cores)
+        sim = self.sim
 
-        def done() -> bool:
-            return all(core.finished for core in watched)
+        def finished(_core) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if not remaining:
+                sim.stop()
 
-        return self.run(until=done)
+        for core in cores:
+            core.on_finish = finished
+        try:
+            return self.run()
+        finally:
+            for core in cores:
+                core.on_finish = None
 
     def _makespan(self) -> int:
         finish_cycles = [core.finish_cycle for core in self._loaded

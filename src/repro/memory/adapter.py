@@ -15,7 +15,11 @@ reservation machinery hooks into:
 from __future__ import annotations
 
 from ..engine.errors import ProtocolViolation
-from ..interconnect.messages import AMO_OPS, MemRequest, Op, Status
+from ..interconnect.messages import MemRequest, Op, Status
+
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LW, _SW = Op.LW, Op.SW
 
 
 class AtomicAdapter:
@@ -54,13 +58,13 @@ class AtomicAdapter:
     def handle(self, req: MemRequest) -> None:
         """Service one request during its bank slot."""
         op = req.op
-        if op is Op.LW:
+        if op is _LW:
             self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif op is Op.SW:
+        elif op is _SW:
             self.ctrl.write(req.addr, req.value)
             self.on_write(req.addr)
             self.ctrl.respond(req, value=0)
-        elif op in AMO_OPS:
+        elif op.amo:
             old = self.ctrl.read(req.addr)
             self.ctrl.write(req.addr, self._amo_result(op, old, req.value))
             self.on_write(req.addr)

@@ -56,3 +56,21 @@ def test_every_word_maps_uniquely(amap):
         location = amap.locate(word * 4)
         assert location not in seen
         seen.add(location)
+
+
+@pytest.mark.parametrize("addr", [2, 4 * 7 + 1, -4, -1])
+def test_locate_rejects_what_bank_of_rejects(amap, addr):
+    for lookup in (amap.bank_of, amap.locate):
+        with pytest.raises(MemoryError_):
+            lookup(addr)
+
+
+def test_bad_addresses_keep_their_messages(amap):
+    with pytest.raises(MemoryError_, match="misaligned access: 0x6"):
+        amap.bank_of(6)
+    with pytest.raises(MemoryError_, match="outside SPM"):
+        amap.locate(amap.memory_bytes)
+    last = amap.memory_bytes - amap.word_bytes
+    assert amap.locate(last) == (amap.num_banks - 1,
+                                 amap.words_per_bank - 1)
+    assert amap.bank_of(last) == amap.num_banks - 1

@@ -101,3 +101,82 @@ def test_pending_events_counter():
     assert sim.pending_events == 2
     sim.run()
     assert sim.pending_events == 0
+
+
+# -- stop() --------------------------------------------------------------------
+
+
+def test_stop_ends_run_after_the_current_event():
+    # Same-cycle events behind the stopping one stay queued, exactly as
+    # when an until predicate turns true after that event.
+    sim = Simulator()
+    seen = []
+
+    def stopper():
+        seen.append("stop")
+        sim.stop()
+        seen.append("rest of handler")
+
+    sim.schedule(3, lambda: seen.append("before"))
+    sim.schedule(4, stopper)
+    sim.schedule(4, lambda: seen.append("same cycle"))
+    sim.schedule(9, lambda: seen.append("later"))
+    assert sim.run() == 4
+    assert seen == ["before", "stop", "rest of handler"]
+    assert sim.pending_events == 2
+
+
+def test_stopped_run_skips_the_deadlock_check():
+    sim = Simulator()
+    sim.add_blocked_reporter(lambda: ["core 0 sleeping on lrwait"])
+    sim.schedule(1, sim.stop)
+    assert sim.run() == 1
+
+
+def test_stop_also_ends_a_run_with_until():
+    sim = Simulator()
+    calls = []
+    sim.schedule(1, sim.stop)
+    sim.schedule(2, lambda: None)
+    sim.run(until=lambda: calls.append(1) or False)
+    assert sim.now == 1
+    assert sim.pending_events == 1
+
+
+def test_stop_does_not_outlive_its_run():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1, sim.stop)
+    sim.run()
+    for cycle in (2, 3, 4):
+        sim.schedule_at(cycle, lambda c=cycle: seen.append(c))
+    assert sim.run() == 4
+    assert seen == [2, 3, 4]
+
+
+def test_stop_is_cleared_when_the_run_raises():
+    sim = Simulator()
+
+    def stop_then_fail():
+        sim.stop()
+        raise RuntimeError("handler bug")
+
+    sim.schedule(1, stop_then_fail)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    seen = []
+    sim.schedule(1, lambda: seen.append(1))
+    sim.schedule(2, lambda: seen.append(2))
+    sim.run()
+    assert seen == [1, 2]
+
+
+def test_reset_drops_a_pending_stop():
+    sim = Simulator()
+    sim.stop()
+    sim.reset()
+    seen = []
+    sim.schedule(1, lambda: seen.append(1))
+    sim.schedule(2, lambda: seen.append(2))
+    sim.run()
+    assert seen == [1, 2]

@@ -79,6 +79,34 @@ def test_run_until_finished_stops_pollers():
     assert machine.peek(flag) == 1
 
 
+def test_run_until_finished_rejects_a_watched_core_without_kernel():
+    # Pollers never finish and core 15 has nothing to run: this used to
+    # spin until max_cycles, then fail as a runaway simulation.
+    machine = make_machine(16, VariantSpec.lrsc())
+    counter = machine.allocator.alloc_interleaved(1)
+
+    def poller(api):
+        while True:
+            resp = yield from api.lr(counter)
+            yield from api.sc(counter, resp.value + 1)
+
+    machine.load_range(range(15), poller)
+    with pytest.raises(ValueError, match=r"\[15\]"):
+        machine.run_until_finished([15])
+    with pytest.raises(ValueError, match=r"\[15\]"):
+        machine.run_until_finished([3, 15, 15])
+    assert machine.sim.now == 0
+    assert machine.sim.pending_events == 0
+
+
+def test_run_until_finished_rejects_an_empty_watch_list():
+    machine = make_machine(4, VariantSpec.amo())
+    machine.load(0, lambda api: api.compute(10))
+    with pytest.raises(ValueError, match="at least one"):
+        machine.run_until_finished([])
+    assert machine.sim.pending_events == 0
+
+
 def test_makespan_uses_last_finisher():
     machine = make_machine(4, VariantSpec.amo())
 

@@ -18,8 +18,10 @@ from repro.scenarios.run import (
     apply_settings,
     build_machine,
     scenario_cache_key,
+    execute,
     sweep,
 )
+from repro.workloads.interference import endless_histogram_kernel
 from repro.workloads.streams import zipf_stream
 
 
@@ -101,12 +103,44 @@ def test_machine_reset_restores_fresh_behavior():
     spec = smoke_spec("histogram", method="wait")
     reference = run_scenario(spec)
     machine = build_machine(spec)
-    from repro.scenarios.run import execute
     execute(get_workload(spec.workload), spec, machine=machine)
     machine.reset()
     warm = execute(get_workload(spec.workload), spec, machine=machine)
     assert warm.cycles == reference.cycles
     assert warm.stats == reference.stats
+
+
+def test_machine_reset_after_stopped_run_restores_fresh_behavior():
+    # The run_until_finished point: endless pollers leave events queued
+    # when the watched workers stop the run.  Neither those events nor
+    # a stop request may reach the warm machine's next point.
+    def interfered(machine):
+        matmul = Matmul(machine, 4)
+        matmul.fill_inputs()
+        histogram = Histogram(machine, 2)
+        workers = [6, 7]
+        for worker, rows in zip(workers, matmul.partition_rows(2)):
+            machine.load(worker,
+                         lambda api, r=rows: matmul.worker_kernel(api, r))
+        machine.load_range(range(6), lambda api:
+                           endless_histogram_kernel(histogram, api, "lrsc"))
+        stats = machine.run_until_finished(workers)
+        return (machine.sim.now, machine.sim.pending_events,
+                stats.snapshot())
+
+    spec = dataclasses.replace(smoke_spec("histogram", method="lrsc"),
+                               variant="lrsc")
+    reference = interfered(build_machine(spec))
+    assert reference[1] > 0  # a stopped run, not a drained one
+    machine = build_machine(spec)
+    interfered(machine)
+    machine.sim.stop()  # even a stray stop request is dropped by reset
+    machine.reset()
+    assert interfered(machine) == reference
+    machine.reset()
+    execute(get_workload(spec.workload), spec, machine=machine)
+    machine.reset()
+    assert interfered(machine) == reference
 
 
 def test_machine_reset_refuses_probes():
