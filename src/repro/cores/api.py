@@ -35,6 +35,15 @@ from typing import Optional
 
 from ..interconnect.messages import MemResponse, Op, Status
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LW, _SW, _LR, _SC = Op.LW, Op.SW, Op.LR, Op.SC
+_LRWAIT, _SCWAIT, _MWAIT = Op.LRWAIT, Op.SCWAIT, Op.MWAIT
+_AMO_ADD, _AMO_SWAP, _AMO_AND = Op.AMO_ADD, Op.AMO_SWAP, Op.AMO_AND
+_AMO_OR, _AMO_XOR, _AMO_MAX, _AMO_MIN = (
+    Op.AMO_OR, Op.AMO_XOR, Op.AMO_MAX, Op.AMO_MIN)
+_OK = Status.OK
+
 
 @dataclass(slots=True)
 class Compute:
@@ -77,61 +86,61 @@ class CoreApi:
 
     def lw(self, addr: int):
         """Load word; returns the value."""
-        resp = yield MemCmd(Op.LW, addr)
+        resp = yield MemCmd(_LW, addr)
         return resp.value
 
     def sw(self, addr: int, value: int):
         """Store word."""
-        yield MemCmd(Op.SW, addr, value)
+        yield MemCmd(_SW, addr, value)
 
     # -- single-instruction atomics ------------------------------------------------
 
     def amo_add(self, addr: int, value: int):
         """Atomic fetch-and-add; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_ADD, addr, value)
+        resp = yield MemCmd(_AMO_ADD, addr, value)
         return resp.value
 
     def amo_swap(self, addr: int, value: int):
         """Atomic swap; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_SWAP, addr, value)
+        resp = yield MemCmd(_AMO_SWAP, addr, value)
         return resp.value
 
     def amo_and(self, addr: int, value: int):
         """Atomic AND; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_AND, addr, value)
+        resp = yield MemCmd(_AMO_AND, addr, value)
         return resp.value
 
     def amo_or(self, addr: int, value: int):
         """Atomic OR; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_OR, addr, value)
+        resp = yield MemCmd(_AMO_OR, addr, value)
         return resp.value
 
     def amo_xor(self, addr: int, value: int):
         """Atomic XOR; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_XOR, addr, value)
+        resp = yield MemCmd(_AMO_XOR, addr, value)
         return resp.value
 
     def amo_max(self, addr: int, value: int):
         """Atomic signed max; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_MAX, addr, value)
+        resp = yield MemCmd(_AMO_MAX, addr, value)
         return resp.value
 
     def amo_min(self, addr: int, value: int):
         """Atomic signed min; returns the previous value."""
-        resp = yield MemCmd(Op.AMO_MIN, addr, value)
+        resp = yield MemCmd(_AMO_MIN, addr, value)
         return resp.value
 
     # -- LR/SC (baseline) --------------------------------------------------------------
 
     def lr(self, addr: int):
         """Load-reserved; returns the value."""
-        resp = yield MemCmd(Op.LR, addr)
+        resp = yield MemCmd(_LR, addr)
         return resp.value
 
     def sc(self, addr: int, value: int):
         """Store-conditional; returns ``True`` on success."""
-        resp = yield MemCmd(Op.SC, addr, value)
-        return resp.status is Status.OK
+        resp = yield MemCmd(_SC, addr, value)
+        return resp.status is _OK
 
     # -- LRSCwait extension ----------------------------------------------------------------
 
@@ -142,20 +151,20 @@ class CoreApi:
         the reservation queue — the core sleeps until then.  Callers
         must check for :data:`Status.QUEUE_FULL` on bounded hardware.
         """
-        resp = yield MemCmd(Op.LRWAIT, addr)
+        resp = yield MemCmd(_LRWAIT, addr)
         return resp
 
     def scwait(self, addr: int, value: int):
         """Store-conditional-wait; returns ``True`` on success."""
-        resp = yield MemCmd(Op.SCWAIT, addr, value)
-        return resp.status is Status.OK
+        resp = yield MemCmd(_SCWAIT, addr, value)
+        return resp.status is _OK
 
     def mwait(self, addr: int, expected: int):
         """Sleep until ``addr`` differs from ``expected``; returns the
         observed value (or the full response's value on QUEUE_FULL —
         callers on bounded hardware should re-check and fall back to
         polling; see :class:`MemResponse.status`)."""
-        resp = yield MemCmd(Op.MWAIT, addr, expected=expected)
+        resp = yield MemCmd(_MWAIT, addr, expected=expected)
         return resp
 
     # -- non-memory ---------------------------------------------------------------------------

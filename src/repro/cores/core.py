@@ -147,6 +147,10 @@ class Core:
                     f"kernel on core {self.core_id} raised "
                     f"{type(exc).__name__}: {exc}") from exc
             send_value = None
+            # Memory commands first: they are the most frequent.
+            if isinstance(cmd, MemCmd):
+                self._issue(cmd)
+                return
             if isinstance(cmd, Compute):
                 if cmd.cycles <= 0:
                     continue
@@ -157,9 +161,6 @@ class Core:
             if isinstance(cmd, Retire):
                 self.stats.ops_completed += cmd.count
                 continue
-            if isinstance(cmd, MemCmd):
-                self._issue(cmd)
-                return
             raise KernelError(
                 f"core {self.core_id}: kernel yielded {cmd!r}, expected "
                 f"Compute/Retire/MemCmd")
@@ -195,7 +196,10 @@ class Core:
         stats = self.stats
         stats.active_cycles += 1
         stats.instructions += 1
-        stats.count_request(op.mnemonic)
+        # CoreStats.count_request, in place.
+        requests = stats.requests
+        mnemonic = op.mnemonic
+        requests[mnemonic] = requests.get(mnemonic, 0) + 1
         self._outstanding = req
         self._set_state(SLEEPING if op.waits else STALLED)
         # The request leaves the core after the 1-cycle issue stage.

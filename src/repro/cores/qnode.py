@@ -39,6 +39,11 @@ from ..interconnect.messages import (
     WakeUpRequest,
 )
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_SCWAIT, _MWAIT = Op.SCWAIT, Op.MWAIT
+_QUEUE_FULL = Status.QUEUE_FULL
+
 
 class Qnode:
     """Hardware queue node sitting between one core and the network."""
@@ -121,12 +126,13 @@ class Qnode:
 
     def on_response(self, resp: MemResponse) -> None:
         """Filter every memory response on its way into the core."""
-        if resp.op is Op.SCWAIT:
+        op = resp.op
+        if op is _SCWAIT:
             self._resolve_exit(resp)
-        elif resp.op in (Op.LRWAIT, Op.MWAIT):
-            if resp.status is Status.QUEUE_FULL:
+        elif op.waits:                  # LRWAIT, MWAIT
+            if resp.status is _QUEUE_FULL:
                 self._disarm()  # never enqueued
-            elif resp.op is Op.MWAIT:
+            elif op is _MWAIT:
                 # Mwait completion doubles as the dequeue (§IV-B).
                 self._resolve_exit(resp)
             # A successful LRwait response leaves the node armed: the

@@ -238,27 +238,44 @@ class Simulator:
 
         Unlike :meth:`run`, draining the queue early is *not* treated as
         deadlock here; time-boxed workloads legitimately stop issuing
-        work.  Returns the final cycle.
+        work.  As in :meth:`run`, an event past ``max_cycles`` raises
+        the runaway :class:`SimulationError`, and :meth:`stop` ends the
+        run right after the event being dispatched, with the clock at
+        that event's cycle.  Otherwise the clock ends at the horizon,
+        capped at ``max_cycles``; it never moves backwards.  Returns the
+        final cycle.
         """
         deadline = self.now + cycles
+        max_cycles = self.max_cycles
         heap = self._heap
         no_arg = NO_ARG
-        while heap:
-            entry = heap[0]
-            if entry[0] > deadline:
-                break
-            _heappop(heap)
-            fn = entry[3]
-            if fn is None:
-                continue
-            self.now = entry[0]
-            arg = entry[4]
-            if arg is no_arg:
-                fn()
-            else:
-                fn(arg)
-        self.now = min(deadline, self.max_cycles)
-        return self.now
+        try:
+            while heap:
+                entry = heap[0]
+                cycle = entry[0]
+                if cycle > deadline:
+                    break
+                _heappop(heap)
+                fn = entry[3]
+                if fn is None:
+                    continue
+                if cycle > max_cycles:
+                    raise SimulationError(
+                        f"exceeded max_cycles={max_cycles} "
+                        f"(runaway simulation?)")
+                self.now = cycle
+                arg = entry[4]
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
+                if self._stopping:
+                    return cycle
+            self.now = max(self.now, min(deadline, max_cycles))
+            return self.now
+        finally:
+            # As in run(): a stop request never outlives its run.
+            self._stopping = False
 
     @property
     def pending_events(self) -> int:

@@ -85,6 +85,12 @@ class Network:
             ThrottledPort(config.latency.tile_ingress_per_cycle)
             for _ in range(config.num_tiles)
         ]
+        #: bank_id -> the ingress port of the bank's tile (one list
+        #: index per remote request instead of a placement query).
+        self._bank_ingress = [
+            self._tile_ingress[topology.tile_of_bank(bank_id)]
+            for bank_id in range(config.num_banks)
+        ]
         #: bank_id -> callable(MemRequest | WakeUpRequest)
         self._bank_handlers: dict = {}
         #: core_id -> callable(MemResponse)
@@ -129,8 +135,7 @@ class Network:
         interconnect stage where atomics' retry storms interfere with
         unrelated traffic (Fig. 5).  Local requests never call this.
         """
-        tile = self.topology.tile_of_bank(bank_id)
-        slot = self._tile_ingress[tile].next_slot(arrival)
+        slot = self._bank_ingress[bank_id].next_slot(arrival)
         self.stats.ingress_wait_cycles += slot - arrival
         return slot
 
@@ -142,7 +147,11 @@ class Network:
         """
         cls, latency, hops = self.topology.route(req.core_id, bank_id)
         kind = req.op.mnemonic
-        self.stats.count_message(kind, hops)
+        # NetworkStats.count_message, in place.
+        stats = self.stats
+        messages = stats.messages
+        messages[kind] = messages.get(kind, 0) + 1
+        stats.hops += hops
         cb = self._telemetry.on_message
         if cb is not None:
             cb(self.sim.now, kind, cls, latency, hops)
@@ -155,7 +164,11 @@ class Network:
         """Bank → core: deliver a response after the route latency."""
         cls, latency, hops = self.topology.route(resp.core_id, bank_id)
         kind = resp.op.resp_kind
-        self.stats.count_message(kind, hops)
+        # NetworkStats.count_message, in place.
+        stats = self.stats
+        messages = stats.messages
+        messages[kind] = messages.get(kind, 0) + 1
+        stats.hops += hops
         cb = self._telemetry.on_message
         if cb is not None:
             cb(self.sim.now, kind, cls, latency, hops)

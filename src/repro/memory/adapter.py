@@ -19,7 +19,11 @@ from ..interconnect.messages import MemRequest, Op, Status
 
 # Members read once: a class-level ``Op.X`` lookup goes through the
 # Enum metaclass's ``__getattr__`` hook on every evaluation.
-_LW, _SW = Op.LW, Op.SW
+_LW, _SW, _SC = Op.LW, Op.SW, Op.SC
+_AMO_ADD, _AMO_SWAP, _AMO_AND = Op.AMO_ADD, Op.AMO_SWAP, Op.AMO_AND
+_AMO_OR, _AMO_XOR, _AMO_MAX, _AMO_MIN = (
+    Op.AMO_OR, Op.AMO_XOR, Op.AMO_MAX, Op.AMO_MIN)
+_SC_FAIL = Status.SC_FAIL
 
 
 class AtomicAdapter:
@@ -35,6 +39,11 @@ class AtomicAdapter:
     #: Ops this adapter accepts beyond LW/SW/AMO; subclasses extend.
     EXTRA_OPS: frozenset = frozenset()
 
+    #: Mnemonics of :attr:`EXTRA_OPS`, derived once per class by
+    #: :meth:`__init_subclass__`: :meth:`handle` tests them with a str
+    #: hash instead of the Python-level ``Enum.__hash__``.
+    _EXTRA_MNEMONICS: frozenset = frozenset()
+
     #: Whether :meth:`reset` restores this adapter to its post-build
     #: state.  The batch runner reuses a warm machine only when every
     #: bank adapter declares itself resettable; unknown third-party
@@ -42,6 +51,11 @@ class AtomicAdapter:
     #: Subclasses that add mutable state must either override
     #: :meth:`reset` (calling ``super().reset()``) or leave this False.
     RESETTABLE: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._EXTRA_MNEMONICS = frozenset(
+            op.mnemonic for op in cls.EXTRA_OPS)
 
     def __init__(self, controller) -> None:
         self.ctrl = controller
@@ -69,7 +83,7 @@ class AtomicAdapter:
             self.ctrl.write(req.addr, self._amo_result(op, old, req.value))
             self.on_write(req.addr)
             self.ctrl.respond(req, value=old)
-        elif op in self.EXTRA_OPS:
+        elif op.mnemonic in self._EXTRA_MNEMONICS:
             self.handle_reserved(req)
         else:
             raise ProtocolViolation(
@@ -78,22 +92,22 @@ class AtomicAdapter:
 
     def _amo_result(self, op: Op, old: int, operand: int) -> int:
         """Combinational AMO ALU (max/min are signed, as amomax/amomin)."""
-        if op is Op.AMO_ADD:
+        if op is _AMO_ADD:
             return old + operand
-        if op is Op.AMO_SWAP:
+        if op is _AMO_SWAP:
             return operand
-        if op is Op.AMO_AND:
+        if op is _AMO_AND:
             return old & operand
-        if op is Op.AMO_OR:
+        if op is _AMO_OR:
             return old | operand
-        if op is Op.AMO_XOR:
+        if op is _AMO_XOR:
             return old ^ operand
         bank = self.ctrl.bank
         signed_old = bank.to_signed(old)
         signed_new = bank.to_signed(operand & bank.mask)
-        if op is Op.AMO_MAX:
+        if op is _AMO_MAX:
             return old if signed_old >= signed_new else operand
-        if op is Op.AMO_MIN:
+        if op is _AMO_MIN:
             return old if signed_old <= signed_new else operand
         raise ProtocolViolation(f"not an AMO: {op}")
 
@@ -136,7 +150,7 @@ class AmoAdapter(AtomicAdapter):
     RESETTABLE = True
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.SC:
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+        if req.op is _SC:
+            self.ctrl.respond(req, value=1, status=_SC_FAIL)
             return
         super().handle_reserved(req)

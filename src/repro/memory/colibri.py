@@ -46,6 +46,11 @@ from ..interconnect.messages import (
 )
 from .adapter import AtomicAdapter
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LRWAIT, _SCWAIT, _MWAIT = Op.LRWAIT, Op.SCWAIT, Op.MWAIT
+_OK, _SC_FAIL, _QUEUE_FULL = Status.OK, Status.SC_FAIL, Status.QUEUE_FULL
+
 
 @dataclass
 class _ColibriQueue:
@@ -101,10 +106,11 @@ class ColibriAdapter(AtomicAdapter):
     # -- enqueue: LRwait / Mwait ------------------------------------------------
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op in (Op.LRWAIT, Op.MWAIT):
+        op = req.op
+        if op.waits:                    # LRWAIT, MWAIT
             self._handle_wait(req)
             self._note_depth()
-        elif req.op is Op.SCWAIT:
+        elif op is _SCWAIT:
             self._handle_scwait(req)
             self._note_depth()
         else:
@@ -126,7 +132,7 @@ class ColibriAdapter(AtomicAdapter):
                 prev_core=previous_tail, successor=req.core_id))
             return
         if len(self._queues) >= self.num_addresses:
-            self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
+            self.ctrl.respond(req, value=0, status=_QUEUE_FULL)
             return
         queue = _ColibriQueue(addr=req.addr, head=req.core_id,
                               tail=req.core_id)
@@ -138,9 +144,9 @@ class ColibriAdapter(AtomicAdapter):
     def _serve_head(self, queue: _ColibriQueue, req: MemRequest) -> None:
         """Serve ``req`` (guaranteed to be the queue head) the current value."""
         value = self.ctrl.read(queue.addr)
-        if req.op is Op.LRWAIT:
+        if req.op is _LRWAIT:
             queue.reservation_valid = True
-            queue.head_op = Op.LRWAIT
+            queue.head_op = _LRWAIT
             self.ctrl.stats.reservations_placed += 1
             self.ctrl.respond(req, value=value)
             return
@@ -149,7 +155,7 @@ class ColibriAdapter(AtomicAdapter):
             self._respond_and_dequeue(queue, req, value)
             return
         queue.reservation_valid = True
-        queue.head_op = Op.MWAIT
+        queue.head_op = _MWAIT
         self.ctrl.stats.reservations_placed += 1
 
     # -- dequeue: SCwait ------------------------------------------------------------
@@ -158,13 +164,13 @@ class ColibriAdapter(AtomicAdapter):
         queue = self._queues.get(req.addr)
         legal = (queue is not None and queue.head_valid
                  and queue.head == req.core_id
-                 and queue.head_op is Op.LRWAIT)
+                 and queue.head_op is _LRWAIT)
         if not legal:
             if self.strict:
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without holding the queue head")
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, value=1, status=_SC_FAIL)
             return
         assert queue is not None
         if queue.reservation_valid:
@@ -174,13 +180,13 @@ class ColibriAdapter(AtomicAdapter):
             # queue on the same address (different queue slot is
             # impossible — same addr, same queue) is untouched; other
             # adapters' reservations do not exist here.
-            self._respond_and_dequeue(queue, req, value=0, status=Status.OK)
+            self._respond_and_dequeue(queue, req, value=0, status=_OK)
         else:
             self._respond_and_dequeue(queue, req, value=1,
-                                      status=Status.SC_FAIL)
+                                      status=_SC_FAIL)
 
     def _respond_and_dequeue(self, queue: _ColibriQueue, req: MemRequest,
-                             value: int, status: Status = Status.OK) -> None:
+                             value: int, status: Status = _OK) -> None:
         """Answer the head and either free the queue or await the WakeUp.
 
         ``head == tail`` means nobody enqueued behind the head: the
@@ -234,7 +240,7 @@ class ColibriAdapter(AtomicAdapter):
         queue = self._queues.get(addr)
         if queue is None or not queue.head_valid or not queue.reservation_valid:
             return
-        if queue.head_op is Op.LRWAIT:
+        if queue.head_op is _LRWAIT:
             queue.reservation_valid = False
             self.ctrl.stats.reservations_invalidated += 1
             return
@@ -254,7 +260,7 @@ class ColibriAdapter(AtomicAdapter):
         a monitoring Mwait we rebuild an equivalent request envelope
         (op/core/addr are all the response needs).
         """
-        return MemRequest(op=Op.MWAIT, core_id=queue.head, addr=queue.addr)
+        return MemRequest(op=_MWAIT, core_id=queue.head, addr=queue.addr)
 
     # -- introspection ------------------------------------------------------------------------
 
@@ -263,7 +269,7 @@ class ColibriAdapter(AtomicAdapter):
         total = 0
         for queue in self._queues.values():
             total += len(queue.pending)
-            if queue.head_valid and queue.head_op is Op.MWAIT:
+            if queue.head_valid and queue.head_op is _MWAIT:
                 total += 1
         return total
 

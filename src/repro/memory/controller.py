@@ -91,19 +91,18 @@ class BankController:
     def _service(self, msg) -> None:
         self.stats.accesses += 1
         tracer = self.sim.tracer
-        if tracer.enabled:
-            if isinstance(msg, WakeUpRequest):
+        if isinstance(msg, WakeUpRequest):
+            if tracer.enabled:
                 tracer.log(self.sim.now, f"bank{self.bank_id}",
                            "wakeup_request",
                            f"from core {msg.from_core} "
                            f"successor {msg.successor} @0x{msg.addr:x}")
-            else:
+            self.adapter.handle_wakeup(msg)
+        else:
+            if tracer.enabled:
                 tracer.log(self.sim.now, f"bank{self.bank_id}",
                            msg.op.value,
                            f"core {msg.core_id} @0x{msg.addr:x}")
-        if isinstance(msg, WakeUpRequest):
-            self.adapter.handle_wakeup(msg)
-        else:
             self.adapter.handle(msg)
 
     def trace(self, kind: str, detail: str = "") -> None:

@@ -26,6 +26,11 @@ from typing import Optional
 from ..interconnect.messages import MemRequest, Op, Status
 from .adapter import AtomicAdapter
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LR, _SC = Op.LR, Op.SC
+_OK, _SC_FAIL = Status.OK, Status.SC_FAIL
+
 
 class LrscAdapter(AtomicAdapter):
     """Single-reservation-slot LR/SC unit (the paper's LRSC baseline)."""
@@ -45,9 +50,10 @@ class LrscAdapter(AtomicAdapter):
     # -- protocol ------------------------------------------------------------
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
+        op = req.op
+        if op is _LR:
             self._handle_lr(req)
-        elif req.op is Op.SC:
+        elif op is _SC:
             self._handle_sc(req)
         else:
             super().handle_reserved(req)
@@ -67,9 +73,9 @@ class LrscAdapter(AtomicAdapter):
             # The SC's own store must not be able to fail a *future* SC
             # of the same core, so clear before the on_write sweep.
             self.on_write(req.addr)
-            self.ctrl.respond(req, value=0, status=Status.OK)
+            self.ctrl.respond(req, value=0, status=_OK)
         else:
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, value=1, status=_SC_FAIL)
 
     def on_write(self, addr: int) -> None:
         """A committed store kills a matching reservation (§III step 3)."""

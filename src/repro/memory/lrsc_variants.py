@@ -32,6 +32,11 @@ from __future__ import annotations
 from ..interconnect.messages import MemRequest, Op, Status
 from .adapter import AtomicAdapter
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LR, _SC = Op.LR, Op.SC
+_OK, _SC_FAIL = Status.OK, Status.SC_FAIL
+
 
 class LrscTableAdapter(AtomicAdapter):
     """Per-core reservation table (non-blocking LR/SC, ATUN-style)."""
@@ -49,18 +54,19 @@ class LrscTableAdapter(AtomicAdapter):
         self._table.clear()
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
+        op = req.op
+        if op is _LR:
             self._table[req.core_id] = req.addr
             self.ctrl.stats.reservations_placed += 1
             self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif req.op is Op.SC:
+        elif op is _SC:
             if self._table.get(req.core_id) == req.addr:
                 del self._table[req.core_id]
                 self.ctrl.write(req.addr, req.value)
                 self.on_write(req.addr)
-                self.ctrl.respond(req, value=0, status=Status.OK)
+                self.ctrl.respond(req, value=0, status=_OK)
             else:
-                self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+                self.ctrl.respond(req, value=1, status=_SC_FAIL)
         else:
             super().handle_reserved(req)
 
@@ -97,19 +103,20 @@ class LrscBankAdapter(AtomicAdapter):
         self._reserved.clear()
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op is Op.LR:
+        op = req.op
+        if op is _LR:
             self._reserved.add(req.core_id)
             self.ctrl.stats.reservations_placed += 1
             self.ctrl.respond(req, value=self.ctrl.read(req.addr))
-        elif req.op is Op.SC:
+        elif op is _SC:
             if req.core_id in self._reserved:
                 # The winning SC's own store clears everyone, self
                 # included (the write is a store to the bank).
                 self.ctrl.write(req.addr, req.value)
                 self.on_write(req.addr)
-                self.ctrl.respond(req, value=0, status=Status.OK)
+                self.ctrl.respond(req, value=0, status=_OK)
             else:
-                self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+                self.ctrl.respond(req, value=1, status=_SC_FAIL)
         else:
             super().handle_reserved(req)
 

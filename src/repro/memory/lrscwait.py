@@ -31,6 +31,11 @@ from ..engine.errors import ProtocolViolation
 from ..interconnect.messages import MemRequest, Op, Status
 from .adapter import AtomicAdapter
 
+# Members read once: a class-level ``Op.X`` lookup goes through the
+# Enum metaclass's ``__getattr__`` hook on every evaluation.
+_LRWAIT, _SCWAIT = Op.LRWAIT, Op.SCWAIT
+_OK, _SC_FAIL, _QUEUE_FULL = Status.OK, Status.SC_FAIL, Status.QUEUE_FULL
+
 
 @dataclass
 class _Waiter:
@@ -67,16 +72,17 @@ class LrscWaitAdapter(AtomicAdapter):
     # -- protocol ---------------------------------------------------------------
 
     def handle_reserved(self, req: MemRequest) -> None:
-        if req.op in (Op.LRWAIT, Op.MWAIT):
+        op = req.op
+        if op.waits:                    # LRWAIT, MWAIT
             self._handle_wait(req)
-        elif req.op is Op.SCWAIT:
+        elif op is _SCWAIT:
             self._handle_scwait(req)
         else:
             super().handle_reserved(req)
 
     def _handle_wait(self, req: MemRequest) -> None:
         if self.queue_slots is not None and self._occupancy >= self.queue_slots:
-            self.ctrl.respond(req, value=0, status=Status.QUEUE_FULL)
+            self.ctrl.respond(req, value=0, status=_QUEUE_FULL)
             return
         queue = self._queues.setdefault(req.addr, deque())
         if self.strict and any(w.req.core_id == req.core_id for w in queue):
@@ -102,7 +108,7 @@ class LrscWaitAdapter(AtomicAdapter):
         while queue:
             head = queue[0]
             value = self.ctrl.read(addr)
-            if head.req.op is Op.LRWAIT:
+            if head.req.op is _LRWAIT:
                 head.served = True
                 head.reservation_valid = True
                 self.ctrl.stats.reservations_placed += 1
@@ -123,26 +129,26 @@ class LrscWaitAdapter(AtomicAdapter):
         queue = self._queues.get(req.addr)
         head = queue[0] if queue else None
         legal = (head is not None and head.served
-                 and head.req.op is Op.LRWAIT
+                 and head.req.op is _LRWAIT
                  and head.req.core_id == req.core_id)
         if not legal:
             if self.strict:
                 raise ProtocolViolation(
                     f"SCwait from core {req.core_id} to 0x{req.addr:x} "
                     f"without being the served queue head")
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, value=1, status=_SC_FAIL)
             return
         assert head is not None
         valid = head.reservation_valid
         self._pop(req.addr)
         if valid:
             self.ctrl.write(req.addr, req.value)
-            self.ctrl.respond(req, value=0, status=Status.OK)
+            self.ctrl.respond(req, value=0, status=_OK)
             # The SCwait's own store wakes monitoring Mwaits but must
             # not clear the (already popped) writer's state.
             self.on_write(req.addr)
         else:
-            self.ctrl.respond(req, value=1, status=Status.SC_FAIL)
+            self.ctrl.respond(req, value=1, status=_SC_FAIL)
         self._serve_head(req.addr)
 
     def _pop(self, addr: int) -> None:
@@ -166,7 +172,7 @@ class LrscWaitAdapter(AtomicAdapter):
         head = queue[0]
         if not head.served:
             return
-        if head.req.op is Op.LRWAIT:
+        if head.req.op is _LRWAIT:
             if head.reservation_valid:
                 head.reservation_valid = False
                 self.ctrl.stats.reservations_invalidated += 1

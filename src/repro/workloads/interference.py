@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ..algorithms.histogram import Histogram
 from ..algorithms.matmul import Matmul
+from ..algorithms.vectorized import flat_uniform_rmw
 from ..arch.config import SystemConfig
 from ..machine import Machine
 from ..memory.variants import VariantSpec
@@ -70,9 +71,19 @@ def measure_interference(config: SystemConfig, variant: VariantSpec,
 
     ``method`` is the pollers' RMW flavour (``"amo"``, ``"lrsc"``,
     ``"wait"``); workers always run the same matmul.  The poller count
-    is ``num_cores - num_workers``.  This is the execution engine
-    behind the ``interference`` scenario; library callers use
-    :func:`run_interference` (spec-routed, cacheable) instead.
+    is ``num_cores - num_workers``.
+
+    Both halves run the flat drivers of
+    :mod:`repro.algorithms.vectorized`: workers
+    :meth:`~repro.algorithms.matmul.Matmul.flat_worker_kernel`, pollers
+    an endless :func:`~repro.algorithms.vectorized.flat_uniform_rmw`
+    with the paper's fixed LR/SC backoff.  They are bit-identical to
+    :meth:`~repro.algorithms.matmul.Matmul.worker_kernel` and
+    :func:`endless_histogram_kernel`, the scalar references.
+
+    This is the execution engine behind the ``interference`` scenario;
+    library callers use :func:`run_interference` (spec-routed,
+    cacheable) instead.
     """
     num_pollers = config.num_cores - num_workers
     if num_pollers < 0:
@@ -94,12 +105,14 @@ def measure_interference(config: SystemConfig, variant: VariantSpec,
         for worker_index, core_id in enumerate(worker_ids):
             machine.load(core_id,
                          lambda api, r=rows[worker_index]:
-                         matmul.worker_kernel(api, r))
+                         matmul.flat_worker_kernel(api, r))
         if load_pollers:
             for core_id in poller_ids:
                 machine.load(core_id,
-                             lambda api: endless_histogram_kernel(
-                                 histogram, api, method))
+                             lambda api: flat_uniform_rmw(
+                                 api, histogram.base, histogram.word,
+                                 num_bins, None, method,
+                                 backoff=PAPER_LOCK_BACKOFF))
         stats = machine.run_until_finished(worker_ids)
         finish = max(machine.cores[i].finish_cycle for i in worker_ids)
         return finish, stats

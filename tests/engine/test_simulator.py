@@ -94,6 +94,67 @@ def test_run_for_stops_at_deadline():
     assert seen == [1, 5, 50]
 
 
+def test_run_for_enforces_max_cycles():
+    # A 30-cycle tick from cycle 50: 50 and 80 fit under max_cycles,
+    # the tick at 110 is a runaway, as it is for run().
+    sim = Simulator(max_cycles=100)
+    seen = []
+
+    def tick():
+        seen.append(sim.now)
+        sim.schedule(30, tick)
+
+    sim.schedule(50, tick)
+    with pytest.raises(SimulationError, match="max_cycles=100"):
+        sim.run_for(200)
+    assert seen == [50, 80]
+    assert sim.now == 80
+
+
+def test_run_for_clock_never_moves_backwards():
+    sim = Simulator(max_cycles=100)
+    sim.schedule(40, lambda: None)
+    assert sim.run_for(500) == 100      # horizon capped at max_cycles
+    assert sim.run_for(-5) == 100       # a negative horizon is a no-op
+
+
+def test_run_for_honours_stop_and_clears_it():
+    sim = Simulator()
+    seen = []
+
+    def stopper():
+        seen.append("stop")
+        sim.stop()
+
+    sim.schedule(2, stopper)
+    sim.schedule(3, lambda: seen.append("after"))
+    assert sim.run_for(5) == 2
+    assert seen == ["stop"]
+    assert sim.now == 2
+    # The flag did not leak: the next run() dispatches every event.
+    sim.schedule(1, lambda: seen.append("a"))
+    sim.schedule(2, lambda: seen.append("b"))
+    sim.run()
+    assert seen == ["stop", "after", "a", "b"]
+
+
+def test_run_for_clears_stop_when_a_handler_raises():
+    sim = Simulator()
+
+    def stop_then_fail():
+        sim.stop()
+        raise RuntimeError("handler bug")
+
+    sim.schedule(1, stop_then_fail)
+    with pytest.raises(RuntimeError):
+        sim.run_for(5)
+    seen = []
+    sim.schedule(1, lambda: seen.append(1))
+    sim.schedule(2, lambda: seen.append(2))
+    sim.run()
+    assert seen == [1, 2]
+
+
 def test_pending_events_counter():
     sim = Simulator()
     sim.schedule(1, lambda: None)
